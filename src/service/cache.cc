@@ -546,4 +546,55 @@ ResultCache::memoryEntries() const
     return lru_.size();
 }
 
+// --- in-flight merging ------------------------------------------------
+
+InflightKeys::Lease &
+InflightKeys::Lease::operator=(Lease &&other) noexcept
+{
+    if (this != &other) {
+        release();
+        owner_ = std::exchange(other.owner_, nullptr);
+        key_ = std::move(other.key_);
+    }
+    return *this;
+}
+
+void
+InflightKeys::Lease::release()
+{
+    if (!owner_)
+        return;
+    {
+        std::lock_guard<std::mutex> lock(owner_->mutex_);
+        owner_->keys_.erase(key_);
+    }
+    owner_->released_.notify_all();
+    owner_ = nullptr;
+}
+
+InflightKeys::Lease
+InflightKeys::tryLead(const std::string &key)
+{
+    Lease lease;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (keys_.insert(key).second) {
+        lease.owner_ = this;
+        lease.key_ = key;
+    }
+    return lease;
+}
+
+bool
+InflightKeys::awaitRelease(const std::string &key,
+                           Clock::time_point deadline)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    auto released = [&] { return keys_.count(key) == 0; };
+    if (deadline == Clock::time_point::max()) {
+        released_.wait(lock, released);
+        return true;
+    }
+    return released_.wait_until(lock, deadline, released);
+}
+
 } // namespace ujam

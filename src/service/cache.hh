@@ -38,12 +38,15 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -210,6 +213,69 @@ class ResultCache
         std::string,
         std::list<std::pair<std::string, std::string>>::iterator>
         index_;
+};
+
+/**
+ * In-flight request merging: the cache keys some request in this
+ * process is computing right now.
+ *
+ * A request that misses the cache takes the key's lease and becomes
+ * its leader; a concurrent request for the same key waits until the
+ * lease is released, then probes the cache again. The leader stores
+ * before it releases, so the waiter's probe is a hit. If the leader
+ * stored nothing (an error, an uncacheable result), the waiter's
+ * probe misses and it takes the lease itself: no request ever waits
+ * for a result that was not stored, and none waits on a key whose
+ * leader is gone.
+ */
+class InflightKeys
+{
+  public:
+    using Clock = std::chrono::steady_clock;
+
+    /** A leader's hold on one key; releasing it wakes the waiters. */
+    class Lease
+    {
+      public:
+        Lease() = default;
+        Lease(Lease &&other) noexcept { *this = std::move(other); }
+        Lease &operator=(Lease &&other) noexcept;
+        ~Lease() { release(); }
+
+        Lease(const Lease &) = delete;
+        Lease &operator=(const Lease &) = delete;
+
+        /** @return True when this lease holds a key. */
+        explicit operator bool() const { return owner_ != nullptr; }
+
+        /** Drop the key (idempotent). */
+        void release();
+
+      private:
+        friend class InflightKeys;
+        InflightKeys *owner_ = nullptr;
+        std::string key_;
+    };
+
+    /**
+     * @return A held lease when no request leads @p key, making the
+     * caller its leader; an empty one when another request leads it.
+     */
+    Lease tryLead(const std::string &key);
+
+    /**
+     * Block until no request leads @p key.
+     *
+     * @param deadline Give up at this instant; Clock::time_point::max()
+     *                 = never.
+     * @return False when the deadline passed first.
+     */
+    bool awaitRelease(const std::string &key, Clock::time_point deadline);
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable released_;
+    std::unordered_set<std::string> keys_;
 };
 
 } // namespace ujam

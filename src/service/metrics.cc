@@ -98,6 +98,7 @@ metricsJson(const ServiceMetrics &metrics, const CacheStats &cache,
     json.field("misses", metrics.cacheMisses.get());
     json.field("stores", metrics.cacheStores.get());
     json.field("bypassed", metrics.cacheBypassed.get());
+    json.field("merged", metrics.cacheMerged.get());
     json.field("memory_entries", cache.memoryEntries);
     json.field("memory_capacity", cache.memoryCapacity);
     json.field("disk_evictions",

@@ -158,6 +158,8 @@ struct ServiceMetrics
     Counter cacheMisses;
     Counter cacheStores;
     Counter cacheBypassed; //!< requests sent with "no_cache"
+    /** Misses that waited on an identical in-flight request. */
+    Counter cacheMerged;
     /** Per-shard disk-tier counters, written by the ResultCache. */
     CacheCounters cacheCounters;
 

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <utility>
 
 #include "ir/validate.hh"
 #include "parser/parser.hh"
@@ -239,7 +240,15 @@ UjamServer::runOptimize(const ServiceRequest &request,
     // degraded (cache-only) mode the probe is mandatory: a hit is
     // still a correct, byte-identical answer, but nothing new is
     // computed on a circuit-broken service.
+    //
+    // On a miss the request merges with any identical request already
+    // in flight (InflightKeys): the first takes the key's lease and
+    // computes, later ones wait for it and probe again, so equal work
+    // is done once and the hit/miss/store counts do not depend on how
+    // many requests run at once. Degraded mode computes nothing, so
+    // it never waits.
     std::string key;
+    InflightKeys::Lease lease; // held while this request leads key
     if (!request.noCache || config_.degraded) {
         Clock::time_point probe_start = Clock::now();
         key = computeCacheKey(op_name, program, request.machine,
@@ -247,6 +256,25 @@ UjamServer::runOptimize(const ServiceRequest &request,
         CacheTier tier = CacheTier::Miss;
         std::optional<std::string> hit = cache_.get(key, &tier);
         metrics_.cacheProbeLatency.record(microsSince(probe_start));
+        bool merged = false;
+        while (!hit && !lease && !config_.degraded) {
+            lease = inflight_.tryLead(key);
+            if (!lease) {
+                if (!std::exchange(merged, true))
+                    metrics_.cacheMerged.add();
+                if (!inflight_.awaitRelease(key, deadline)) {
+                    metrics_.cacheMisses.add();
+                    metrics_.requestsTimeout.add();
+                    return errorResponse(
+                        request.id, op_name, "timeout",
+                        "deadline expired during optimization");
+                }
+            }
+            // A waiter finds what its leader stored; a new leader
+            // re-checks for a store that landed between its first
+            // probe and taking the lease.
+            hit = cache_.get(key, &tier);
+        }
         if (hit) {
             if (tier == CacheTier::Memory)
                 metrics_.cacheMemoryHits.add();
@@ -547,7 +575,11 @@ UjamServer::start()
         std::strncpy(addr.sun_path, config_.socketPath.c_str(),
                      sizeof(addr.sun_path) - 1);
 
-        listenFd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+        // Non-blocking for the same accept semantics as the shared
+        // socket a supervisor hands its workers (see acceptLoop).
+        listenFd_ = ::socket(AF_UNIX,
+                             SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK,
+                             0);
         if (listenFd_ < 0)
             fatal("ujam-serve: socket(): ", std::strerror(errno));
 
@@ -639,9 +671,16 @@ UjamServer::acceptLoop()
         int ready = ::poll(&poller, 1, 100);
         if (ready <= 0)
             continue; // timeout, EINTR or transient error: re-check
+        // The listen socket is non-blocking, so a lost race returns
+        // instead of parking this thread where stop() cannot reach
+        // it. EAGAIN: a sibling worker accepted the connection that
+        // woke us. EINTR: a signal. ECONNABORTED: the peer gave up
+        // while queued. All three mean re-poll. The accepted fd does
+        // not inherit O_NONBLOCK, so handleConnection reads it as a
+        // blocking socket.
         int fd = ::accept4(listenFd_, nullptr, nullptr, SOCK_CLOEXEC);
         if (fd < 0)
-            continue; // EINTR/ECONNABORTED/raced sibling worker
+            continue;
 
         bool admitted = false;
         {

@@ -25,7 +25,9 @@
  * Requests run the existing pipeline (driver/optimizeProgram, the
  * analyzer for "lint") with per-nest parallelism disabled: the server
  * parallelizes across requests, which keeps every response a pure --
- * and therefore cacheable -- function of its request.
+ * and therefore cacheable -- function of its request. Identical
+ * cacheable requests in flight at once are merged (InflightKeys): one
+ * computes, the others wait for its stored result.
  *
  * Multi-process operation (see service/supervisor.hh): a worker
  * server adopts the supervisor's pre-bound listening socket
@@ -199,6 +201,7 @@ class UjamServer
     ServiceMetrics ownedMetrics_; //!< backing when none is shared
     ServiceMetrics &metrics_;     //!< shared block or ownedMetrics_
     ResultCache cache_;
+    InflightKeys inflight_; //!< cache keys being computed right now
     std::vector<ProcessFaultSpec> workerFaults_;
     std::atomic<std::uint64_t> requestSerial_{0};
 

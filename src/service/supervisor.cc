@@ -108,7 +108,14 @@ statsFromShared(const SharedBlock &shared)
     return stats;
 }
 
-/** Bind and listen on an AF_UNIX socket; fatal on any failure. */
+/**
+ * Bind and listen on an AF_UNIX socket; fatal on any failure.
+ *
+ * The socket is non-blocking. Every worker polls the shared fd, so
+ * one connection wakes them all and only one accept4() wins; on a
+ * blocking socket the losers would sleep inside accept4() and never
+ * see a stop request, turning every drain into a forced kill.
+ */
 int
 bindListenSocket(const std::string &path)
 {
@@ -122,7 +129,8 @@ bindListenSocket(const std::string &path)
     std::strncpy(addr.sun_path, path.c_str(),
                  sizeof(addr.sun_path) - 1);
 
-    int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK,
+                      0);
     if (fd < 0)
         fatal("ujam-serve: socket(): ", std::strerror(errno));
 
@@ -531,7 +539,7 @@ Supervisor::Impl::pollAccept(int timeout_ms)
         return;
     int fd = ::accept4(listenFd, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0)
-        return;
+        return; // EAGAIN (spurious wakeup), EINTR, ECONNABORTED
 
     // Round-robin over live workers; a send failure means the worker
     // died under us, so retire its channel and try the next.

@@ -249,6 +249,32 @@ TEST(ResultCacheTier, DiskSurvivesAndPromotes)
     EXPECT_EQ(tier, CacheTier::Memory);
 }
 
+TEST(ServiceInflight, OneLeaderPerKeyWaitersWakeOnRelease)
+{
+    InflightKeys inflight;
+    InflightKeys::Lease leader = inflight.tryLead("k");
+    ASSERT_TRUE(leader);
+    EXPECT_FALSE(inflight.tryLead("k"));
+    EXPECT_TRUE(inflight.tryLead("other")); // keys are independent
+
+    // A waiter whose deadline passes while the key is led gives up.
+    EXPECT_FALSE(inflight.awaitRelease(
+        "k", InflightKeys::Clock::now() + std::chrono::milliseconds(5)));
+
+    // An unbounded waiter wakes once the leader lets go -- whether or
+    // not anything was stored -- and may then lead the key itself.
+    std::atomic<bool> woke{false};
+    std::thread waiter([&] {
+        woke = inflight.awaitRelease("k",
+                                     InflightKeys::Clock::time_point::max());
+    });
+    leader.release();
+    waiter.join();
+    EXPECT_TRUE(woke);
+    EXPECT_FALSE(leader);
+    EXPECT_TRUE(inflight.tryLead("k"));
+}
+
 // --- protocol parsing -----------------------------------------------
 
 TEST(ServiceProtocol, RejectsMalformedRequests)

@@ -184,6 +184,43 @@ TEST(TuneService, HitIsByteIdenticalToMiss)
     EXPECT_GE(server.metrics().tuneCandidatesMeasured.get(), 2u);
 }
 
+TEST(TuneService, MergedSkipFallsBackToRecompute)
+{
+    // In-flight merging's fallback: a wall-mode tune without a host
+    // compiler self-skips and stores nothing, so a request that
+    // waited on it must recompute instead of hanging or reading a
+    // result that was never stored. Merged or not, both requests
+    // run the tune, both answer the same frame, and nothing is kept.
+    ScopedEnv cc("UJAM_CC", "");
+    ScopedEnv path("PATH", "/ujam-no-such-dir");
+    ASSERT_TRUE(hostCCompiler().empty());
+
+    ServerConfig config;
+    config.threads = 2;
+    UjamServer server(config);
+    std::string line =
+        R"({"op": "tune", "id": "w", "options": {"tune_measure": )"
+        R"("wall"}, "source": "param n = 64\nreal a(n, n)\n)"
+        R"(do j = 1, n\n  do i = 1, n\n    a(i, j) = a(i, j) * 2.0\n)"
+        R"(  end do\nend do\n"})";
+    std::istringstream in(line + "\n" + line + "\n");
+    std::ostringstream out;
+    ASSERT_EQ(server.runBatch(in, out), 2u);
+
+    std::string text = out.str();
+    std::size_t split = text.find('\n');
+    ASSERT_NE(split, std::string::npos);
+    std::string first = text.substr(0, split);
+    EXPECT_EQ(first, text.substr(split + 1, text.size() - split - 2));
+    EXPECT_NE(first.find("\"status\": \"ok\""), std::string::npos);
+    EXPECT_NE(first.find("\"skipped\": true"), std::string::npos);
+    EXPECT_EQ(server.metrics().cacheStores.get(), 0u);
+    EXPECT_EQ(server.metrics().cacheMisses.get(), 2u);
+    EXPECT_EQ(server.metrics().cacheMemoryHits.get(), 0u);
+    EXPECT_EQ(server.metrics().tuneRequests.get(), 2u);
+    EXPECT_EQ(server.cache().memoryEntries(), 0u);
+}
+
 // --- the BENCH_TUNE.json artifact schema ----------------------------
 
 TEST(TuneBench, ArtifactSchemaSmoke)
